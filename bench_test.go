@@ -82,7 +82,12 @@ func BenchmarkFig11WorkConserving(b *testing.B) {
 	}
 }
 
+// BenchmarkFig12Incast also reports allocs/event over whole trials, setup
+// included: the real-experiment allocation figure scripts/bench.sh gates.
 func BenchmarkFig12Incast(b *testing.B) {
+	var events uint64
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	for i := 0; i < b.N; i++ {
 		cfg := exp.IncastConfig{Rounds: 3}
 		cfg.Proto = exp.TFC
@@ -90,10 +95,13 @@ func BenchmarkFig12Incast(b *testing.B) {
 		tfc := exp.Incast(cfg)
 		cfg.Proto = exp.TCP
 		tcp := exp.Incast(cfg)
+		events += tfc.Events + tcp.Events
 		b.ReportMetric(tfc.Goodput/1e6, "tfc@60_Mbps")
 		b.ReportMetric(tcp.Goodput/1e6, "tcp@60_Mbps")
 		b.ReportMetric(float64(tfc.Drops), "tfc_drops")
 	}
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
 }
 
 func BenchmarkFig13FCT(b *testing.B) {
@@ -221,7 +229,6 @@ func BenchmarkExtensionCreditIncast(b *testing.B) {
 // flow.
 func benchDumbbell(s *Simulator) (*Network, *Host, *Host) {
 	net := NewNetwork(s)
-	net.PoolPackets = true
 	h1 := net.NewHost("h1")
 	h2 := net.NewHost("h2")
 	sw := net.NewSwitch("sw")

@@ -10,16 +10,16 @@ import (
 // "Performance"): once a *netsim.Packet is handed to ReleasePacket its
 // memory may be zeroed and handed to the next NewPacket caller, so any
 // later read or write through the same variable is a use-after-release
-// — under pooling it corrupts an unrelated in-flight packet, and the
-// symptom (a wrong header field several simulated microseconds later)
-// is about as far from the cause as bugs get.
+// — it corrupts an unrelated in-flight packet, and the symptom (a wrong
+// header field several simulated microseconds later) is about as far
+// from the cause as bugs get.
 //
 // Two checks, both intra-procedural and alias-unaware by design:
 //
 //  1. use-after-release: within one function, a variable passed to a
-//     releasing sink (Network.ReleasePacket / Host-level wrappers — any
-//     netsim function or method named ReleasePacket) must not be used
-//     again on the same straight-line path. Releases inside a
+//     releasing sink (Port.ReleasePacket — any netsim function or
+//     method named ReleasePacket) must not be used again on the same
+//     straight-line path. Releases inside a
 //     conditional branch do not poison code after the branch
 //     (conservative: no false positives from "released on one arm").
 //     Reassigning the variable (p = net.NewPacket()) clears its

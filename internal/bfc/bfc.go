@@ -301,10 +301,10 @@ func (s *Sender) onXOF() {
 	s.paused = true
 	s.pauseUntil = s.cfg.Sim.Now() + s.cfg.PauseTimeout
 	if !s.pauseTimer.Active() {
-		s.pauseTimer = s.cfg.Sim.At(s.pauseUntil, s.onPauseExpiry)
+		s.pauseTimer = s.cfg.Sim.Schedule(s.pauseUntil, s)
 	}
 	// An already-pending timer fires at or before the new deadline and
-	// re-arms itself from onPauseExpiry — the RTOTimer lazy pattern.
+	// re-arms itself from RunEvent — the RTOTimer lazy pattern.
 }
 
 func (s *Sender) onXON() {
@@ -315,12 +315,14 @@ func (s *Sender) onXON() {
 	s.trySend()
 }
 
-func (s *Sender) onPauseExpiry() {
+// RunEvent implements sim.EventTarget: the pause timer expired. The
+// sender is its own event target, so arming the timer allocates nothing.
+func (s *Sender) RunEvent() {
 	if !s.paused {
 		return
 	}
 	if now := s.cfg.Sim.Now(); now < s.pauseUntil {
-		s.pauseTimer = s.cfg.Sim.At(s.pauseUntil, s.onPauseExpiry)
+		s.pauseTimer = s.cfg.Sim.Schedule(s.pauseUntil, s)
 		return
 	}
 	// Timeout without XON or refresh: probe onward. If the congestion is

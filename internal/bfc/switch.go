@@ -66,9 +66,10 @@ type Hook struct {
 	probe PauseProbe
 
 	flows     map[netsim.FlowID]*flowState
-	total     int64    // tracked occupancy across all flows (bytes)
-	portPause int64    // aggregate pressure threshold
-	drainFree sim.Time // predicted time the last counted byte leaves
+	total     int64       // tracked occupancy across all flows (bytes)
+	portPause int64       // aggregate pressure threshold
+	drainFree sim.Time    // predicted time the last counted byte leaves
+	evFree    *drainEvent // free list of drain carriers
 
 	// Pauses and Resumes count emitted XOF and XON signals.
 	Pauses  int64
@@ -150,10 +151,33 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 		h.drainFree = now
 	}
 	h.drainFree += port.Rate.TxTime(pkt.WireBytes())
-	flow := pkt.Flow
-	//tfcvet:allow hotalloc — per-packet drain timer closure: BFC is a comparison baseline outside the BENCH_2 alloc gate (which certifies the TFC forwarding path)
-	h.sim.At(h.drainFree, func() { h.drain(flow, int64(fb)) })
+	e := h.evFree
+	if e == nil {
+		e = &drainEvent{h: h}
+	} else {
+		h.evFree, e.next = e.next, nil
+	}
+	e.flow, e.fb = pkt.Flow, int64(fb)
+	//tfcvet:allow rankreq — a switch-local timer, not a link delivery: the XON it may originate enters this switch's own Receive, so it keeps the neutral rank every other switch timer has
+	h.sim.Schedule(h.drainFree, e)
 	return true
+}
+
+// drainEvent is the predicted departure of one counted frame. Carriers
+// are free-listed per hook, so the drain timer allocates only while the
+// number of pending departures grows.
+type drainEvent struct {
+	h    *Hook
+	flow netsim.FlowID
+	fb   int64
+	next *drainEvent // free-list link
+}
+
+// RunEvent implements sim.EventTarget.
+func (e *drainEvent) RunEvent() {
+	h, flow, fb := e.h, e.flow, e.fb
+	h.evFree, e.next = e, h.evFree
+	h.drain(flow, fb)
 }
 
 func (h *Hook) drain(flow netsim.FlowID, fb int64) {

@@ -473,7 +473,7 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 		st.counter -= mss
 		return false
 	}
-	//tfcvet:allow poolsafe,hotalloc — deliberate ownership transfer (returning true tells the switch the ACK is held; onRelease re-injects it), and the hold queue drains by truncation so its backing array amortizes to steady capacity
+	//tfcvet:allow poolsafe,hotalloc — deliberate ownership transfer (returning true tells the switch the ACK is held; RunEvent re-injects it), and the hold queue drains by truncation so its backing array amortizes to steady capacity
 	st.delayQ = append(st.delayQ, heldAck{pkt, out})
 	st.DelayedAcks++
 	if st.cfg.Probe != nil {
@@ -493,10 +493,13 @@ func (st *PortState) scheduleRelease() {
 	if d < 1 {
 		d = 1
 	}
-	st.release = st.s.After(d, st.onRelease)
+	st.release = st.s.ScheduleAfter(d, st)
 }
 
-func (st *PortState) onRelease() {
+// RunEvent implements sim.EventTarget: the delay arbiter's release timer
+// fired. The port state is its own event target, so arming the timer
+// allocates nothing.
+func (st *PortState) RunEvent() {
 	st.refill()
 	mss := st.wireCost(float64(st.cfg.MSS))
 	for len(st.delayQ) > 0 && st.counter >= mss {

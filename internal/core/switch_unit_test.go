@@ -200,6 +200,9 @@ func TestUnitHandleRMASubMSSDelayedAndBumped(t *testing.T) {
 	y := net2.NewHost("y")
 	net2.Connect(x, y, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 1})
 	out := x.NIC()
+	// The released ACK returns to the pool on delivery; keep a copy.
+	k := &copySink{}
+	y.Register(2, k)
 	ack := &netsim.Packet{
 		Flow: 2, Flags: netsim.FlagACK | netsim.FlagRMA, Window: 200,
 		Src: y.ID(), Dst: y.ID(),
@@ -215,7 +218,16 @@ func TestUnitHandleRMASubMSSDelayedAndBumped(t *testing.T) {
 	if st.DelayQueueLen() != 0 {
 		t.Fatal("held RMA never released")
 	}
-	if ack.Window != int64(netsim.MSS) {
-		t.Fatalf("released RMA window = %d, want MSS", ack.Window)
+	if len(k.pkts) != 1 {
+		t.Fatalf("released RMA delivered %d times, want 1", len(k.pkts))
+	}
+	if k.pkts[0].Window != int64(netsim.MSS) {
+		t.Fatalf("released RMA window = %d, want MSS", k.pkts[0].Window)
 	}
 }
+
+// copySink records copies of delivered packets (the packets themselves
+// return to the pool when Deliver returns).
+type copySink struct{ pkts []netsim.Packet }
+
+func (k *copySink) Deliver(p *netsim.Packet) { k.pkts = append(k.pkts, *p) }

@@ -191,7 +191,13 @@ func (h *Host) Network() *Network { return h.net }
 // stream is not throttled (packets ride the busy pipeline), while
 // window-limited senders pay a fresh random delay per packet — the
 // variance TFC's switch-side rtt_b min-filter depends on (paper §4.5).
+//
+// Send panics on a packet that was already released: its memory belongs
+// to the pool, and may already be another packet.
 func (h *Host) Send(pkt *Packet) {
+	if pkt.released {
+		panic("netsim: Host.Send of a released packet")
+	}
 	s := h.sh.sim
 	at := s.Now()
 	h.net.trace(TraceHostSend, at, h.name, pkt)
@@ -334,9 +340,9 @@ func (e TraceEvent) String() string {
 // Probe observes forwarding-path events for the telemetry layer
 // (internal/telemetry). Implementations must treat the *Packet and *Port
 // arguments as read-only snapshots: copy any fields they need and retain
-// neither pointer — with pooling on, the packet is recycled as soon as
-// the probe returns. Probes run on the simulation's virtual timeline and
-// must not mutate simulation state or draw from its Rand.
+// neither pointer — the pooled packet may be recycled as soon as the
+// probe returns. Probes run on the simulation's virtual timeline and must
+// not mutate simulation state or draw from its Rand.
 type Probe interface {
 	// PortEnqueue runs after pkt is admitted to p's queue.
 	PortEnqueue(p *Port, pkt *Packet)
@@ -366,22 +372,13 @@ type Network struct {
 	// Trace, when set, receives every packet lifecycle event (tcpdump-like
 	// observability; adds one nil-check per event when unset). The trace
 	// callback runs on shard goroutines in a partitioned network — only
-	// use it on sequential runs.
+	// use it on sequential runs. pkt is valid only during the call.
 	Trace func(ev TraceEvent, at sim.Time, where string, pkt *Packet)
 	// Probe, when set, receives forwarding-path telemetry events. Like
 	// Trace, the disabled path is one nil-check per event. In a
 	// partitioned network probe callbacks run concurrently on shard
 	// goroutines; the telemetry layer serializes internally.
 	Probe Probe
-
-	// PoolPackets opts this network into packet recycling: NewPacket draws
-	// from a free list that ReleasePacket refills when a packet's single
-	// ownership chain ends (delivery, drop, stray, or unroutable). With
-	// pooling on, nothing may hold a *Packet past the Deliver/OnEnqueue/
-	// Trace call it was passed to — copy the fields instead. Off by
-	// default: packets are then ordinary garbage-collected allocations and
-	// ReleasePacket is a no-op.
-	PoolPackets bool
 
 	// shards hold the per-shard execution contexts (simulator + pools);
 	// exactly one, driven by Sim, until Partition splits the network.
@@ -403,28 +400,26 @@ func (n *Network) trace(ev TraceEvent, at sim.Time, where string, pkt *Packet) {
 	}
 }
 
-// NewPacket returns a zeroed packet, recycled from a free list when
-// PoolPackets is set. Transports allocate through Host.NewPacket (or
+// NewPacket returns a zeroed packet recycled from a free list. Packets
+// are pooled: the free list is refilled when a packet's single ownership
+// chain ends (delivery, drop, stray, or unroutable), so nothing may hold
+// a *Packet past the Deliver/OnEnqueue/Trace call it was passed to — copy
+// the fields instead. Transports allocate through Host.NewPacket (or
 // Port.NewPacket from switch-side hooks) so the packet comes from — and
 // later returns to — the pool of the shard doing the work; this method
 // serves shard 0 for sequential callers (tests, benchmarks).
 func (n *Network) NewPacket() *Packet { return n.shards[0].newPacket() }
 
-// Warm pre-sizes the network for an allocation-free run: with pooling on,
-// the packet pool grows to at least packets spare packets, the deferred
-// host-send event pool to a matching depth, and every port's FIFO and
-// in-flight rings to ringCap slots. Benchmarks call it (together with
-// sim.Warm) so the measured steady state performs no allocation at all;
-// cold networks grow on demand instead.
+// Warm pre-sizes the network for an allocation-free run: the packet pool
+// grows to at least packets spare packets, the deferred host-send event
+// pool to a matching depth, and every port's FIFO and in-flight rings to
+// ringCap slots. Benchmarks call it (together with sim.Warm) so the
+// measured steady state performs no allocation at all; cold networks
+// grow on demand instead.
 func (n *Network) Warm(packets, ringCap int) {
 	for _, sh := range n.shards {
-		if n.PoolPackets {
-			for len(sh.pktFree) < packets {
-				slab := make([]Packet, pktSlab)
-				for i := range slab {
-					sh.pktFree = append(sh.pktFree, &slab[i])
-				}
-			}
+		for len(sh.pktFree) < packets {
+			sh.growPool()
 		}
 		for len(sh.evFree) < 64 {
 			sh.evFree = append(sh.evFree, &portEvent{})
@@ -441,13 +436,6 @@ func (n *Network) Warm(packets, ringCap int) {
 		}
 	}
 }
-
-// ReleasePacket returns a packet to shard 0's pool. The forwarding path
-// releases through shard-local pools instead; this sequential-context
-// method serves code that takes ownership via an Interceptor and then
-// discards the packet (interceptors run on the switch's shard — use
-// Port.ReleasePacket there). No-op unless PoolPackets is set.
-func (n *Network) ReleasePacket(p *Packet) { n.shards[0].release(p) }
 
 // portEvent is the pooled sim.EventTarget for the one forwarding-path
 // event that still needs a per-packet carrier: a host send deferred by
@@ -473,7 +461,7 @@ func (e *portEvent) RunEvent() {
 // NewNetwork creates an empty network on the given simulator.
 func NewNetwork(s *sim.Simulator) *Network {
 	n := &Network{Sim: s, baseSeed: s.Seed()}
-	n.shards = []*netShard{{id: 0, sim: s, net: n}}
+	n.shards = []*netShard{{id: 0, sim: s}}
 	return n
 }
 

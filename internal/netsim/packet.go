@@ -88,7 +88,9 @@ const (
 // Packet is a network packet (one Ethernet frame). Packets are passed by
 // pointer and owned by exactly one queue or in-flight event at a time;
 // switches may modify header fields (Window, Flags) in place, matching how
-// TFC's NetFPGA switch rewrites headers on the data path.
+// TFC's NetFPGA switch rewrites headers on the data path. Packets are
+// pooled (see Network.NewPacket): one must not be kept past the call it
+// was passed to.
 type Packet struct {
 	Flow FlowID
 	Src  NodeID // original sender
@@ -107,6 +109,10 @@ type Packet struct {
 	// policy (paper §4.1 allows "any allocation policies" over the token
 	// pool). Zero is treated as 1 (plain fair share).
 	Weight uint8
+	// released marks a packet sitting in a pool free list; the misuse
+	// checks in release, Host.Send and Port.Enqueue panic on it. It fills
+	// alignment padding, so Packet stays the same size.
+	released bool
 	// SentAt is the time the original sender transmitted the packet.
 	SentAt sim.Time
 	// Hops counts store-and-forward hops traversed (diagnostics).

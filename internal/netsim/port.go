@@ -199,7 +199,7 @@ func (p *Port) NewPacket() *Packet { return p.sh.newPacket() }
 
 // ReleasePacket returns a packet to the port's shard pool. Interceptors
 // and hooks that took ownership of a packet and then discard it release
-// it here. No-op unless PoolPackets is set.
+// it here; the packet must not be used afterwards.
 func (p *Port) ReleasePacket(pkt *Packet) { p.sh.release(pkt) }
 
 func (p *Port) pushQ(pkt *Packet) {
@@ -255,8 +255,12 @@ func (p *Port) drop(pkt *Packet) {
 // count what the port actually receives, and counting packets the wire
 // then discards would skew rho and marked-fraction measurements under
 // injected loss. Then the hook; then drop-tail admission; then the packet
-// joins the FIFO and transmission starts if the line is idle.
+// joins the FIFO and transmission starts if the line is idle. Enqueue
+// panics on a packet that was already released.
 func (p *Port) Enqueue(pkt *Packet) {
+	if pkt.released {
+		panic("netsim: Port.Enqueue of a released packet")
+	}
 	p.EnqPackets++
 	if p.down {
 		p.drop(pkt)

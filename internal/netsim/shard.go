@@ -37,38 +37,45 @@ const (
 type netShard struct {
 	id  int
 	sim *sim.Simulator
-	net *Network
 
 	pktFree []*Packet
 	evFree  []*portEvent    // deferred host-send carriers
 	xFree   []*crossRxEvent // cross-shard delivery carriers
 }
 
+// newPacket pops a zeroed packet from the shard's free list, growing the
+// pool by a slab on a miss. Packets contain no pointers, so a slab is
+// GC-opaque, and handing out slab elements is safe — the pool never
+// frees, it only recycles.
 func (sh *netShard) newPacket() *Packet {
-	if k := len(sh.pktFree) - 1; k >= 0 {
-		p := sh.pktFree[k]
-		sh.pktFree[k] = nil
-		sh.pktFree = sh.pktFree[:k]
-		return p
+	k := len(sh.pktFree) - 1
+	if k < 0 {
+		sh.growPool()
+		k = len(sh.pktFree) - 1
 	}
-	if sh.net.PoolPackets {
-		// Pool miss: grow by a slab. Packets contain no pointers, so the
-		// slab is GC-opaque, and handing out slab elements is safe — the
-		// pool never frees, it only recycles.
-		slab := make([]Packet, pktSlab)
-		for i := 1; i < pktSlab; i++ {
-			sh.pktFree = append(sh.pktFree, &slab[i])
-		}
-		return &slab[0]
-	}
-	return &Packet{}
+	p := sh.pktFree[k]
+	sh.pktFree[k] = nil
+	sh.pktFree = sh.pktFree[:k]
+	p.released = false
+	return p
 }
 
-func (sh *netShard) release(p *Packet) {
-	if !sh.net.PoolPackets || p == nil {
-		return
+// growPool free-lists one fresh slab of packets.
+func (sh *netShard) growPool() {
+	slab := make([]Packet, pktSlab)
+	for i := range slab {
+		sh.pktFree = append(sh.pktFree, &slab[i])
 	}
-	*p = Packet{}
+}
+
+// release zeroes p and returns it to the shard's free list, ending its
+// single ownership chain. Releasing a packet twice would hand one packet
+// to two owners, so it panics instead.
+func (sh *netShard) release(p *Packet) {
+	if p.released {
+		panic("netsim: packet released twice")
+	}
+	*p = Packet{released: true}
 	//tfcvet:allow hotalloc — free-list push: newPacket popped with truncation, so this append reuses the retained capacity (amortized pool growth)
 	sh.pktFree = append(sh.pktFree, p)
 }
@@ -176,7 +183,7 @@ func (n *Network) Partition(assign []int, nShards int) error {
 	old0 := n.shards[0]
 	shards := make([]*netShard, nShards)
 	for i := range shards {
-		shards[i] = &netShard{id: i, sim: g.Shard(i), net: n}
+		shards[i] = &netShard{id: i, sim: g.Shard(i)}
 	}
 	// Carry over anything Warm pre-sized on the bootstrap shard.
 	shards[0].pktFree, shards[0].evFree = old0.pktFree, old0.evFree

@@ -15,13 +15,13 @@ import (
 type harness struct {
 	s   *sim.Simulator
 	snd *Sender
-	out []*netsim.Packet // packets the sender transmitted
+	out []netsim.Packet // copies of the packets the sender transmitted
 	h2  *netsim.Host
 }
 
 type swallow struct{ h *harness }
 
-func (sw *swallow) Deliver(p *netsim.Packet) { sw.h.out = append(sw.h.out, p) }
+func (sw *swallow) Deliver(p *netsim.Packet) { sw.h.out = append(sw.h.out, *p) }
 
 func newHarness(t *testing.T, opts ...func(*Config)) *harness {
 	s := sim.New(1)

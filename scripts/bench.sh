@@ -36,6 +36,10 @@ fi
 # every flow, watchdogs armed, flight ring live) is the observatory's.
 go test -run '^$' -bench '^BenchmarkEngineThroughput(Telemetry|Obs)?$' -count=5 . | tee "$txt"
 
+# One real experiment end to end: fig12's incast trials (TFC and TCP at
+# 60 senders), setup included, for the allocs/event gate below.
+go test -run '^$' -bench '^BenchmarkFig12Incast$' -count=3 . | tee -a "$txt"
+
 # The hot-path microbenchmarks, one pass each.
 go test -run '^$' -bench '^Benchmark(TimerChurn|TimerChurnStop|EventTarget|HeapDepth)' ./internal/sim/ | tee -a "$txt"
 go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst)$' ./internal/netsim/ | tee -a "$txt"
@@ -44,7 +48,9 @@ go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst)$' ./internal/net
 # being written), and gate hard on the alloc budgets: the steady-state
 # engine path must stay allocation-free both bare and with the full
 # observatory attached (the obs gate matches the telemetry-on baseline
-# in BENCH_2.json, which is also zero).
+# in BENCH_2.json, which is also zero), and a whole fig12 incast run may
+# allocate at most 0.02 objects per event (measured 0.0106; a per-packet
+# allocation anywhere on the TFC or TCP path lands well above it).
 prev=""
 for f in $(git ls-files 'BENCH_*.json' | sort -V); do
 	[ "$f" = "$json" ] && continue
@@ -56,5 +62,6 @@ prevargs=""
 go run ./cmd/benchjson -label "$label" -o "$json" $prevargs \
 	-gate 'BenchmarkEngineThroughput:allocs/pkt-hop<=0' \
 	-gate 'BenchmarkEngineThroughputObs:allocs/pkt-hop<=0' \
+	-gate 'BenchmarkFig12Incast:allocs/event<=0.02' \
 	"$txt"
 echo "wrote $json"
