@@ -455,3 +455,16 @@ func BenchmarkShardedFatTree(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkComputeRoutes times route computation alone on the k=16
+// fat-tree (1344 nodes, 320 switches): the topology is built once, then
+// every iteration recomputes every switch's route table. allocs/op is
+// gated in scripts/bench.sh.
+func BenchmarkComputeRoutes(b *testing.B) {
+	ft := exp.FatTree(exp.TopoConfig{Proto: exp.TFC}, 16, netsim.Gbps, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ft.Net.ComputeRoutes()
+	}
+}

@@ -161,6 +161,13 @@ func expandPatterns(modDir string, args []string) ([]string, error) {
 				if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 					return fs.SkipDir
 				}
+				// A directory with its own go.mod is another module, which
+				// "./..." does not match (as with the go tool).
+				if p != root {
+					if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+						return fs.SkipDir
+					}
+				}
 				if hasGoFiles(p) {
 					add(p)
 				}

@@ -143,6 +143,7 @@ type PortState struct {
 	lastRTTm  sim.Time
 	missK     int
 	dTimer    sim.Timer
+	delimMiss delimMiss // dTimer's resident event target
 
 	// Delay arbiter (token bucket over the data direction of this port).
 	counter    float64
@@ -166,6 +167,7 @@ func newPortState(s *sim.Simulator, p *netsim.Port, cfg *SwitchConfig) *PortStat
 	}
 	st.t = st.bps * st.rttb.Seconds() * cfg.Rho0
 	st.w = st.t
+	st.delimMiss.st = st
 	return st
 }
 
@@ -404,10 +406,17 @@ func (st *PortState) armDelimTimer(rttLast sim.Time) {
 	if shift > uint(st.cfg.MaxMissK) {
 		shift = uint(st.cfg.MaxMissK)
 	}
-	st.dTimer = st.s.After(rttLast<<shift, st.onDelimMiss)
+	st.dTimer = st.s.ScheduleAfter(rttLast<<shift, &st.delimMiss)
 }
 
-func (st *PortState) onDelimMiss() {
+// delimMiss is the delimiter-staleness timer's event target. It lives in
+// its PortState, so re-arming the timer every slot allocates nothing.
+type delimMiss struct{ st *PortState }
+
+// RunEvent implements sim.EventTarget: the delimiter was not seen again
+// in time.
+func (m *delimMiss) RunEvent() {
+	st := m.st
 	if st.missK < st.cfg.MaxMissK {
 		st.missK++
 	}

@@ -56,9 +56,12 @@ type Interceptor interface {
 // it TFC's per-port window assignment — stays stable.
 type Switch struct {
 	nodeBase
-	routes map[NodeID][]*Port
+	// routes[dst] is the equal-cost port set toward dst, indexed by
+	// NodeID: nil for the switch itself and for unreachable destinations.
+	// Equal sets share one slice (see ComputeRoutes).
+	routes [][]*Port
 	// One-entry route cache: consecutive packets to one destination (the
-	// common case on a loaded path) skip the map lookup. Invalidated by
+	// common case on a loaded path) skip the table lookup. Invalidated by
 	// ComputeRoutes.
 	cachedDst   NodeID
 	cachedPorts []*Port
@@ -86,7 +89,7 @@ func (sw *Switch) Receive(pkt *Packet, from *Port) {
 func (sw *Switch) routeFor(flow FlowID, dst NodeID) *Port {
 	ports := sw.cachedPorts
 	if dst != sw.cachedDst || ports == nil {
-		ports = sw.routes[dst]
+		ports = sw.PortsTo(dst)
 		if len(ports) == 0 {
 			return nil
 		}
@@ -110,15 +113,23 @@ func flowHash(f FlowID) uint64 {
 // PortTo returns the first (lowest-index) transmit port used to reach
 // dst, or nil. With ECMP, PathTo gives the flow-specific choice.
 func (sw *Switch) PortTo(dst NodeID) *Port {
-	ports := sw.routes[dst]
+	ports := sw.PortsTo(dst)
 	if len(ports) == 0 {
 		return nil
 	}
 	return ports[0]
 }
 
-// PortsTo returns all equal-cost transmit ports toward dst.
-func (sw *Switch) PortsTo(dst NodeID) []*Port { return sw.routes[dst] }
+// PortsTo returns all equal-cost transmit ports toward dst in creation
+// order, or nil when dst is sw itself, unreachable, or no node of the
+// network. The slice is shared with the route table and with every other
+// destination sw routes the same way: read it, never modify it.
+func (sw *Switch) PortsTo(dst NodeID) []*Port {
+	if uint32(dst) >= uint32(len(sw.routes)) {
+		return nil
+	}
+	return sw.routes[dst]
+}
 
 // PortFor returns the port a given flow toward dst uses.
 func (sw *Switch) PortFor(flow FlowID, dst NodeID) *Port {
@@ -483,7 +494,6 @@ func (n *Network) NewHost(name string) *Host {
 func (n *Network) NewSwitch(name string) *Switch {
 	sw := &Switch{
 		nodeBase: nodeBase{id: n.nextID, name: name, net: n, sh: n.shards[0]},
-		routes:   make(map[NodeID][]*Port),
 	}
 	n.nextID++
 	n.nodes = append(n.nodes, sw)
@@ -528,56 +538,144 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (ab, ba *Port) {
 // multipath); flows are spread over them with consistent hashing. Hosts
 // need no routes — they have a single NIC. Deterministic: port sets keep
 // creation order.
+//
+// Links are full duplex, so one BFS from a destination over the dense
+// adjacency gives every node's hop distance to it. Only destinations with
+// more than one port get a BFS: every path to a degree-1 node (a host)
+// runs through its sole neighbour, so each other switch routes to it
+// exactly as to that neighbour and shares the neighbour's set. Equal sets
+// at one switch are one slice.
 func (n *Network) ComputeRoutes() {
-	const inf = int(^uint(0) >> 1)
-	// All-pairs hop distances via one BFS per node.
-	dist := make(map[NodeID][]int, len(n.nodes))
-	for _, src := range n.nodes {
-		d := make([]int, len(n.nodes))
-		for i := range d {
-			d[i] = inf
+	nn := len(n.nodes)
+	// CSR adjacency: node i's peers, in port order, are adj[off[i]:off[i+1]].
+	off := make([]int32, nn+1)
+	for i, node := range n.nodes {
+		off[i+1] = off[i] + int32(len(node.Ports()))
+	}
+	adj := make([]int32, off[nn])
+	for i, node := range n.nodes {
+		for j, p := range node.Ports() {
+			adj[int(off[i])+j] = int32(p.Peer.ID())
 		}
-		d[src.ID()] = 0
-		frontier := []Node{src}
-		for len(frontier) > 0 {
-			var next []Node
-			for _, u := range frontier {
-				for _, p := range u.Ports() {
-					v := p.Peer
-					if d[v.ID()] == inf {
-						d[v.ID()] = d[u.ID()] + 1
-						next = append(next, v)
-					}
+	}
+	var switches []*Switch
+	for _, node := range n.nodes {
+		if sw, ok := node.(*Switch); ok {
+			switches = append(switches, sw)
+		}
+	}
+	table := make([][]*Port, len(switches)*nn)
+	for i, sw := range switches {
+		sw.routes = table[i*nn : (i+1)*nn : (i+1)*nn]
+		sw.cachedDst, sw.cachedPorts = 0, nil
+	}
+	sets := routeSets{m: make(map[string][]*Port)}
+	dist := make([]int32, nn)
+	queue := make([]int32, 0, nn)
+	for t := range n.nodes {
+		if off[t+1]-off[t] == 1 {
+			continue // routed through its neighbour, below
+		}
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[t] = 0
+		queue = append(queue[:0], int32(t))
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
+			for _, v := range adj[off[u]:off[u+1]] {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
 				}
 			}
-			frontier = next
 		}
-		dist[src.ID()] = d
+		for _, sw := range switches {
+			d := dist[sw.id]
+			if d <= 0 {
+				continue // sw is t, or cannot reach it
+			}
+			sets.begin(sw)
+			for j, v := range adj[off[sw.id]:off[sw.id+1]] {
+				if dist[v] == d-1 {
+					sets.add(j)
+				}
+			}
+			sw.routes[t] = sets.get(sw)
+		}
 	}
-	for _, node := range n.nodes {
-		sw, ok := node.(*Switch)
-		if !ok {
+	for t := range n.nodes {
+		if off[t+1]-off[t] != 1 {
 			continue
 		}
-		sw.routes = make(map[NodeID][]*Port, len(n.nodes))
-		sw.cachedDst, sw.cachedPorts = 0, nil
-		for _, dst := range n.nodes {
-			if dst.ID() == sw.ID() {
-				continue
-			}
-			d := dist[sw.ID()][dst.ID()]
-			if d == inf {
-				continue
-			}
-			var ports []*Port
-			for _, p := range sw.Ports() {
-				if dist[p.Peer.ID()][dst.ID()] == d-1 {
-					ports = append(ports, p)
+		u := adj[off[t]]
+		if sw, ok := n.nodes[u].(*Switch); ok {
+			sets.begin(sw)
+			for j, v := range adj[off[u]:off[u+1]] {
+				if v == int32(t) {
+					sets.add(j)
 				}
 			}
-			sw.routes[dst.ID()] = ports
+			sw.routes[t] = sets.get(sw)
+		}
+		// When u is itself degree-1, {t, u} is an island and the copy
+		// below stays nil.
+		for _, sw := range switches {
+			if sw.id != NodeID(t) && sw.id != NodeID(u) {
+				sw.routes[t] = sw.routes[u]
+			}
 		}
 	}
+}
+
+// routeSets interns route sets during ComputeRoutes, so that equal sets
+// at one switch come back as one shared slice. A run of adjacent ports
+// (every set in a fat-tree, leaf-spine or star) is a subslice of the
+// switch's own port slice and costs nothing. Any other set is keyed by
+// its switch's ID followed by a bitmap over that switch's port positions,
+// which fits any port count.
+type routeSets struct {
+	m                 map[string][]*Port
+	key               []byte
+	first, last, size int
+}
+
+// begin starts an empty set at sw.
+func (r *routeSets) begin(sw *Switch) {
+	id := uint32(sw.id)
+	r.key = append(r.key[:0], byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	for range (len(sw.ports) + 7) / 8 {
+		r.key = append(r.key, 0)
+	}
+	r.size = 0
+}
+
+// add puts sw.ports[j] into the set being built; j ascends.
+func (r *routeSets) add(j int) {
+	r.key[4+j/8] |= 1 << (j % 8)
+	if r.size == 0 {
+		r.first = j
+	}
+	r.last = j
+	r.size++
+}
+
+// get returns the shared slice for the (non-empty) set built at sw.
+func (r *routeSets) get(sw *Switch) []*Port {
+	if r.size == r.last-r.first+1 {
+		return sw.ports[r.first : r.last+1 : r.last+1]
+	}
+	if ports, ok := r.m[string(r.key)]; ok {
+		return ports
+	}
+	ports := make([]*Port, 0, r.size)
+	for j, p := range sw.ports {
+		if r.key[4+j/8]&(1<<(j%8)) != 0 {
+			ports = append(ports, p)
+		}
+	}
+	r.m[string(r.key)] = ports
+	return ports
 }
 
 // HostByID returns the host with the given node ID, or nil.

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Group is the conservative parallel dispatcher: one control Simulator
@@ -252,19 +253,7 @@ func (g *Group) deliverMail(scratch *[]srcMail) {
 		}
 		// Stable: preserves per-src post order for equal keys, so the sort
 		// key degenerates to (at, schedAt, rank, src, post-order).
-		sort.SliceStable(box, func(i, j int) bool {
-			a, b := &box[i], &box[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.schedAt != b.schedAt {
-				return a.schedAt < b.schedAt
-			}
-			if a.rank != b.rank {
-				return a.rank < b.rank
-			}
-			return a.src < b.src
-		})
+		slices.SortStableFunc(box, compareMail)
 		g.mailDelivered += uint64(len(box))
 		if len(box) > g.mailPeak {
 			g.mailPeak = len(box)
@@ -286,6 +275,12 @@ func (g *Group) deliverMail(scratch *[]srcMail) {
 type srcMail struct {
 	mail
 	src int
+}
+
+// compareMail orders mail by (at, schedAt, rank, src).
+func compareMail(a, b srcMail) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.schedAt, b.schedAt),
+		cmp.Compare(a.rank, b.rank), cmp.Compare(a.src, b.src))
 }
 
 // runUntil is the group's epoch loop, entered via the control

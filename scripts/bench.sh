@@ -40,6 +40,10 @@ go test -run '^$' -bench '^BenchmarkEngineThroughput(Telemetry|Obs)?$' -count=5 
 # 60 senders), setup included, for the allocs/event gate below.
 go test -run '^$' -bench '^BenchmarkFig12Incast$' -count=3 . | tee -a "$txt"
 
+# Route computation alone on the k=16 fat-tree (320 switches, 1344
+# nodes), for the allocs/op gate below.
+go test -run '^$' -bench '^BenchmarkComputeRoutes$' -count=3 . | tee -a "$txt"
+
 # The hot-path microbenchmarks, one pass each.
 go test -run '^$' -bench '^Benchmark(TimerChurn|TimerChurnStop|EventTarget|HeapDepth)' ./internal/sim/ | tee -a "$txt"
 go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst)$' ./internal/netsim/ | tee -a "$txt"
@@ -50,7 +54,10 @@ go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst)$' ./internal/net
 # observatory attached (the obs gate matches the telemetry-on baseline
 # in BENCH_2.json, which is also zero), and a whole fig12 incast run may
 # allocate at most 0.02 objects per event (measured 0.0106; a per-packet
-# allocation anywhere on the TFC or TCP path lands well above it).
+# allocation anywhere on the TFC or TCP path lands well above it). Route
+# computation on the k=16 fat-tree may allocate at most 100 objects
+# (measured 17: the adjacency, the dense table and BFS scratch; one
+# allocation per switch or per BFS would add 320).
 prev=""
 for f in $(git ls-files 'BENCH_*.json' | sort -V); do
 	[ "$f" = "$json" ] && continue
@@ -63,5 +70,6 @@ go run ./cmd/benchjson -label "$label" -o "$json" $prevargs \
 	-gate 'BenchmarkEngineThroughput:allocs/pkt-hop<=0' \
 	-gate 'BenchmarkEngineThroughputObs:allocs/pkt-hop<=0' \
 	-gate 'BenchmarkFig12Incast:allocs/event<=0.02' \
+	-gate 'BenchmarkComputeRoutes:allocs/op<=100' \
 	"$txt"
 echo "wrote $json"
